@@ -23,9 +23,12 @@ use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slice-by-8
+/// tables. `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]`
+/// advances the CRC of byte `b` through `k` further zero bytes, so eight
+/// lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -34,16 +37,45 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of a byte slice — the checksum sealing every checkpoint
-/// record.
+/// record. Computed slice-by-8; the values are those of the bytewise
+/// table algorithm (pinned against it by the tests below).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0u32, |c, &b| CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8))
+    let t = &CRC_TABLES;
+    let mut c = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
 }
 
 /// The field prefix every sealed line starts with.
@@ -63,8 +95,32 @@ pub fn seal(body: &str) -> String {
         body.starts_with('{') && body.ends_with('}') && !body.contains('\n'),
         "seal() expects a one-line JSON object, got {body:?}"
     );
-    let rest = &body[1..];
-    format!("{SEAL_PREFIX}{:08x}\",{rest}", crc32(rest.as_bytes()))
+    let mut line = Vec::with_capacity(SEAL_PREFIX.len() + 10 + body.len());
+    push_sealed(&mut line, |rest| rest.extend_from_slice(&body.as_bytes()[1..]));
+    line.pop();
+    String::from_utf8(line).expect("sealing a UTF-8 body adds only ASCII")
+}
+
+/// Appends one sealed line, newline included, to `out`: the same bytes as
+/// `seal(body) + "\n"`, built in place. `rest` writes the body minus its
+/// leading brace (closing brace included) straight into `out`; the CRC
+/// field is reserved ahead of it and filled in afterwards, so the body is
+/// never copied. Pre-size `out` and the whole line is one allocation.
+pub fn push_sealed(out: &mut Vec<u8>, rest: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(SEAL_PREFIX.as_bytes());
+    let crc_at = out.len();
+    out.extend_from_slice(b"00000000\",");
+    let body_at = out.len();
+    rest(out);
+    debug_assert!(
+        out[body_at..].ends_with(b"}") && !out[body_at..].contains(&b'\n'),
+        "push_sealed() expects the rest of a one-line JSON object"
+    );
+    let crc = crc32(&out[body_at..]);
+    for (i, digit) in out[crc_at..crc_at + 8].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[((crc >> (28 - 4 * i)) & 0xF) as usize];
+    }
+    out.push(b'\n');
 }
 
 /// Why a sealed line failed validation.
@@ -192,11 +248,42 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    /// The bytewise table algorithm the slice-by-8 [`crc32`] replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |c, &b| {
+            CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise() {
+        // Pseudo-random bytes from a fixed LCG: every length 0..=257 (each
+        // tail length 0..8 after each count of whole 8-byte chunks), then
+        // sub-slices that start off an 8-byte boundary.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let data: Vec<u8> = (0..300)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for len in 0..=257 {
+            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "len {len}");
+        }
+        for start in 1..16 {
+            for end in (start..data.len()).step_by(7) {
+                let s = &data[start..end];
+                assert_eq!(crc32(s), crc32_bytewise(s), "{start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -633,6 +633,25 @@ mod tests {
         assert!(CoreReport::decode("w|1|2").is_none());
     }
 
+    /// The sealed line the bytewise-CRC sealer wrote for this record.
+    /// Existing `results/checkpoints/*.jsonl` files hold lines of exactly
+    /// this shape; if this literal stops matching, they stop resuming.
+    const GOLDEN_RECORD: &str = concat!(
+        r#"{"crc":"7f2191a3","v":2,"experiment":"fig09_single_core","key":"605.mcf_s|PPF","#,
+        r#""wall_ms":1234,"data":"3ff0000000000000,c004000000000000,3fd5555555555555"}"#,
+        "\n"
+    );
+
+    #[test]
+    fn sealed_record_bytes_are_unchanged() {
+        let data = vec![1.0f64, -2.5, 1.0 / 3.0].encode();
+        let line =
+            format_record("fig09_single_core", "605.mcf_s|PPF", Duration::from_millis(1234), &data);
+        assert_eq!(line, GOLDEN_RECORD);
+        ckpt::check(line.trim_end()).expect("golden record still validates");
+        assert_eq!(json_str_field(&line, "data"), Some(data.as_str()));
+    }
+
     #[test]
     fn checkpoint_then_resume_skips_done_jobs() {
         let dir = temp_dir("resume");
